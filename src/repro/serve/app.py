@@ -14,9 +14,11 @@ store, ingest gateway and snapshot service around one shared
                             ``Retry-After`` while read-only degraded (WAL
                             unwritable — reads keep serving)
 ``POST /v1/flush``          force-flush deferred work (ordering barrier)
-``GET /v1/detect``          exact detection from the current snapshot, or a
-                            past one with ``?asof=SEQ`` (time travel over the
-                            WAL; 400 beyond the durable head)
+``GET /v1/detect``          exact detection at the latest version, read off
+                            the engine's maintained peeling order (snapshot
+                            peel for FD and sharded engines), or a past one
+                            with ``?asof=SEQ`` (time travel over the WAL; 400
+                            beyond the durable head)
 ``GET /v1/communities``     dense instances, ``offset``/``limit`` or keyset
                             ``cursor`` paginated; supports ``?asof=SEQ``
 ``GET /v1/vertices/{v}``    per-vertex stats from the current snapshot
@@ -196,6 +198,11 @@ class ServeApp:
         self._m_detect_latency = self.metrics.histogram(
             "repro_detect_seconds", "GET /v1/detect end-to-end handler time"
         )
+        self._m_detect_path = self.metrics.counter(
+            "repro_detect_total",
+            "GET /v1/detect answers by path: maintained order or snapshot peel",
+            labelnames=("path",),
+        )
         self._m_version = self.metrics.gauge(
             "repro_snapshot_version", "WAL sequence the latest snapshot reflects"
         )
@@ -306,6 +313,10 @@ class ServeApp:
         ).set(1)
         self._lock = asyncio.Lock()
         self.service = SnapshotService(self.client, self._lock)
+        if self.service.maintained:
+            # Publish the recovered (or initial) detection so the first
+            # read is not a freeze + peel either.
+            self.service.publish(recovered.wal_seq, self.client.detect().community)
 
         # --- durability ----------------------------------------------- #
         self._wal: Optional[WriteAheadLog] = None
@@ -670,10 +681,11 @@ class ServeApp:
             trace.add_span("asof_detect", began, time.perf_counter(), seq=asof_seq)
             return json_response(200, report)
         began = time.perf_counter()
-        report = await self.service.detect()
+        path, report = await self.service.detect_with_path()
         ended = time.perf_counter()
         self._m_detect_latency.observe(ended - began)
-        trace.add_span("detect", began, ended, version=report.get("version"))
+        self._m_detect_path.labels(path=path).inc()
+        trace.add_span("detect", began, ended, version=report.get("version"), path=path)
         self._m_version.set(report["version"])  # type: ignore[arg-type]
         return json_response(200, report)
 

@@ -12,7 +12,9 @@ own operations, so the WAL replays exactly what happened.
 Commit protocol (per window, under the shared writer lock, off-loop)::
 
     1. append the coalesced operation(s) to the WAL   (fsync if configured)
-    2. apply them to the engine through SpadeClient.apply
+    2. apply them to the engine through SpadeClient.apply, and publish
+       the engine's exact community to the snapshot service (single
+       engine, not FD) so ``GET /v1/detect`` reads it without a peel
     3. maybe cut a checkpoint (every checkpoint_interval accepted edges)
 
 then advance the snapshot service's version and resolve the waiters'
@@ -126,13 +128,6 @@ class IngestGateway:
         )
         self._m_commit = metrics.histogram(
             "repro_ingest_commit_seconds", "WAL append + engine apply per window"
-        )
-        self._m_fsync = metrics.histogram(
-            "repro_wal_append_seconds", "WAL append (incl. fsync) per operation"
-        )
-        self._m_apply = metrics.histogram(
-            "repro_engine_apply_seconds",
-            "Engine apply per operation (scatter/gather when worker-sharded)",
         )
         self._m_latency = metrics.histogram(
             "repro_ingest_ack_seconds", "Submission enqueue to acknowledgment"
@@ -446,9 +441,9 @@ class IngestGateway:
                         # behind it in the window must not be applied or acked.
                         self._m_wal_errors.inc()
                         raise DegradedError(f"WAL append failed: {exc}") from exc
-                    wal_elapsed = time.perf_counter() - wal_began
-                    self._m_fsync.observe(wal_elapsed)
-                    self._m_stage.labels(stage="wal_append").observe(wal_elapsed)
+                    self._m_stage.labels(stage="wal_append").observe(
+                        time.perf_counter() - wal_began
+                    )
                 else:
                     offset = 0
                 for submission in submissions:
@@ -466,9 +461,9 @@ class IngestGateway:
                 try:
                     apply_began = time.perf_counter()
                     report = self._client.apply([op])
-                    apply_elapsed = time.perf_counter() - apply_began
-                    self._m_apply.observe(apply_elapsed)
-                    self._m_stage.labels(stage="engine_apply").observe(apply_elapsed)
+                    self._m_stage.labels(stage="engine_apply").observe(
+                        time.perf_counter() - apply_began
+                    )
                 except (ReproError, TypeError, ValueError) as exc:
                     # Deterministic engine rejection (invalid weight, a label
                     # the engine cannot digest...).  The record is already
@@ -488,6 +483,9 @@ class IngestGateway:
                 if token is not None:
                     deactivate(token)
             self._seq = seq
+            if report.exact and self._service.maintained:
+                # A reference store: the community was computed by apply.
+                self._service.publish(seq, report.community)
             self._m_batches.inc()
             edges = report.edges_applied
             self._m_batch_size.observe(max(1, edges))
